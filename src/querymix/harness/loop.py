@@ -44,7 +44,7 @@ def load_datasets(config: RunConfig):
 
 
 def render_all(scenes, params: BenchmarkParams) -> np.ndarray:
-    return np.stack([render(sc, params).data for sc in scenes])
+    return np.stack([render(sc, params) for sc in scenes])
 
 
 def _branch_loss(layer_sets, gts) -> Tensor:
@@ -56,10 +56,9 @@ def _branch_loss(layer_sets, gts) -> Tensor:
 
 
 def training_loss(model: Detector, images: Tensor, gts, beta: float) -> Tensor:
-    """Per-decoder-layer set losses; two-branch modes add beta times the
-    auxiliary branch, computed in one forward pass over a shared trunk."""
-    if model.config.mode == "static":
-        return _branch_loss(model.forward_layers(images), gts)
+    """Per-decoder-layer set losses on the main branch; two-branch modes add
+    beta times the auxiliary branch, computed in one forward pass over a
+    shared trunk."""
     y_main, y_aux, _ = model.forward_train(images)
     loss = _branch_loss(y_main, gts)
     if beta > 0 and y_aux is not None:

@@ -13,10 +13,11 @@ from ..errors import ContractError
 from ..model import Detector
 from ..queries import FIXED_MODES, QueryBank, coeff_forward, combine_fixed
 from ..scenes import BenchmarkParams, render
+from ..tensor import Tensor
 from .config import RunConfig
 from .loop import evaluate_model, render_all, train
 
-ABLATION_AXES = ("beta", "ratio", "nonmodulated", "direct_mlp", "epochs", "tint_off")
+ABLATION_AXES = ("beta", "ratio", "direct_mlp", "epochs", "tint_off")
 
 
 def perturbation_study(model: Detector, scenes, params: BenchmarkParams,
@@ -80,7 +81,7 @@ def apply_axis(config: RunConfig, axis: str, value) -> RunConfig:
         r = int(value)
         cfg.model.ratio = r
         cfg.model.n_basic = r * cfg.model.m_modulated
-    elif axis in ("nonmodulated", "direct_mlp"):
+    elif axis == "direct_mlp":
         cfg.model.mode = str(value)
     elif axis == "epochs":
         cfg.schedule.epochs = int(value)
@@ -124,7 +125,7 @@ def dump_coefficients(model: Detector, scenes, params: BenchmarkParams):
     rows = []
     with T.no_grad():
         for i, sc in enumerate(scenes):
-            feats = model.backbone(render(sc, params))
+            feats = model.backbone(Tensor(render(sc, params)))
             w = coeff_forward(model.coeff_net, feats).matrix.data.reshape(-1)
             rows.append((i, sc.scene_type, w.copy()))
     points = pca_2d(np.stack([w for _, _, w in rows]))

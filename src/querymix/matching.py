@@ -1,10 +1,10 @@
 """Bipartite matching and the set-prediction training loss.
 
-Predictions are matched to ground truths by a minimum-cost assignment over
-a class/L1/GIoU cost matrix computed on detached values; the differentiable
-loss then treats the assignment indices as constants. Matched predictions
-pay cross-entropy plus weighted box terms; unmatched ones pay down-weighted
-cross-entropy against the trailing "no object" class.
+Per image, predictions are matched to ground truths by a minimum-cost
+assignment over a class/L1/GIoU cost matrix computed on detached values;
+``batch_hungarian_loss`` then treats the assignment indices as constants.
+Matched predictions pay cross-entropy plus weighted box terms; unmatched
+ones pay down-weighted cross-entropy against the trailing "no object" class.
 """
 
 from __future__ import annotations
@@ -25,12 +25,6 @@ DEFAULT_WEIGHTS = (2.0, 5.0, 2.0)  # (class, l1, giou), used for both cost and l
 class Assignment:
     pairs: list  # (prediction index, ground-truth index), sorted by ground truth
     total_cost: float
-
-
-@dataclass
-class CostMatrix:
-    cost: np.ndarray  # [k predictions, g ground truths]
-    weights: tuple
 
 
 def _jv_rows_into_cols(cost: np.ndarray) -> np.ndarray:
@@ -163,7 +157,7 @@ def giou_pairs(pred: Tensor, target: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# cost matrix and losses
+# cost matrix and set loss
 
 def _target_arrays(gts) -> tuple[np.ndarray, np.ndarray]:
     """Accept a Scene-like object (``.objects`` of (class, box)) or a
@@ -185,124 +179,62 @@ def _softmax_np(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def build_cost_matrix(preds, gts, weights=DEFAULT_WEIGHTS) -> CostMatrix:
+def build_cost_matrix(boxes: np.ndarray, logits: np.ndarray, classes: np.ndarray,
+                      gt_boxes: np.ndarray, weights=DEFAULT_WEIGHTS) -> np.ndarray:
     """cost[i, j] = -w_class * p_i(class_j) + w_l1 * |b_i - b_j|_1
-    + w_giou * (1 - giou(b_i, b_j)), on detached values."""
+    + w_giou * (1 - giou(b_i, b_j)) over one image's [k, 4] boxes and
+    [k, C+1] logits against [g] classes and [g, 4] ground-truth boxes."""
     w_class, w_l1, w_giou = weights
     if w_class < 0 or w_l1 < 0 or w_giou < 0:
         raise ContractError(f"cost weights must be nonnegative, got {weights}")
-    classes, gt_boxes = _target_arrays(gts)
-    boxes = preds.boxes.data
-    logits = preds.logits.data
-    k = boxes.shape[0]
     if classes.size == 0:
-        return CostMatrix(np.zeros((k, 0)), tuple(weights))
+        return np.zeros((boxes.shape[0], 0))
     prob = _softmax_np(logits)
     l1 = np.abs(boxes[:, None, :] - gt_boxes[None, :, :]).sum(axis=2)
-    cost = (-w_class * prob[:, classes] + w_l1 * l1
+    return (-w_class * prob[:, classes] + w_l1 * l1
             + w_giou * (1.0 - giou_matrix(boxes, gt_boxes)))
-    return CostMatrix(cost, tuple(weights))
-
-
-def hungarian_loss(preds, gts, weights=DEFAULT_WEIGHTS,
-                   no_object_weight: float = NO_OBJECT_WEIGHT) -> Tensor:
-    """Set loss for one image: match, then cross-entropy over all predictions
-    (unmatched ones against the no-object class, down-weighted) plus L1 and
-    GIoU terms over matched boxes, normalized by the ground-truth count."""
-    classes, gt_boxes = _target_arrays(gts)
-    assignment = hungarian(build_cost_matrix(preds, gts, weights).cost)
-    return _assigned_loss(preds.boxes, preds.logits, classes, gt_boxes,
-                          assignment.pairs, weights, no_object_weight,
-                          norm_boxes=max(1, classes.size))
-
-
-def _assigned_loss(boxes: Tensor, logits: Tensor, classes, gt_boxes, pairs,
-                   weights, no_object_weight: float, norm_boxes: int) -> Tensor:
-    w_class, w_l1, w_giou = weights
-    k, num_classes_plus = logits.shape
-    no_object = num_classes_plus - 1
-
-    targets = np.full(k, no_object, dtype=np.int64)
-    ce_weights = np.full(k, no_object_weight)
-    for i, j in pairs:
-        targets[i] = classes[j]
-        ce_weights[i] = 1.0
-
-    logp = T.log_softmax(logits)
-    picked = T.take_last(logp, targets)
-    ce = T.scale(T.sum_(T.mul(picked, Tensor(-ce_weights))), 1.0 / ce_weights.sum())
-
-    if not pairs:
-        return ce
-
-    pred_idx = np.array([i for i, _ in pairs], dtype=np.int64)
-    gt_idx = np.array([j for _, j in pairs], dtype=np.int64)
-    pb = T.gather_rows(boxes, pred_idx)
-    tb = Tensor(gt_boxes[gt_idx])
-    l1 = T.scale(T.sum_(T.abs_(T.sub(pb, tb))), w_l1 / norm_boxes)
-    gi = giou_pairs(pb, tb)
-    giou_term = T.scale(T.sum_(T.sub(Tensor(np.ones(len(pairs))), gi)), w_giou / norm_boxes)
-    return T.add(T.add(ce, l1), giou_term)
 
 
 def batch_hungarian_loss(boxes: Tensor, logits: Tensor, gts_list,
                          weights=DEFAULT_WEIGHTS,
                          no_object_weight: float = NO_OBJECT_WEIGHT) -> Tensor:
-    """Batched set loss over [batch, k, 4] boxes and [batch, k, C+1] logits;
-    each image is matched independently, box terms are normalized by the
-    batch-total ground-truth count."""
+    """Set loss over [batch, k, 4] boxes and [batch, k, C+1] logits.
+
+    Each image is matched independently on detached values. Cross-entropy
+    covers every prediction (unmatched ones against the trailing no-object
+    class, down-weighted) and is normalized by its total weight; the L1 and
+    GIoU terms cover matched boxes and are normalized by the batch-total
+    ground-truth count.
+    """
     bsz, k, _ = boxes.shape
     if len(gts_list) != bsz:
         raise ContractError(f"{len(gts_list)} targets for batch of {bsz}")
-    flat_boxes = T.reshape(boxes, (bsz * k, 4))
-    flat_logits = T.reshape(logits, (bsz * k, logits.shape[-1]))
-
-    all_pairs = []
-    all_classes = []
-    all_gt_boxes = []
+    _, w_l1, w_giou = weights
+    targets = np.full(bsz * k, logits.shape[-1] - 1, dtype=np.int64)
+    ce_weights = np.full(bsz * k, no_object_weight)
+    pred_idx = []
+    matched_boxes = []
     total_gt = 0
-    box_np = boxes.data
-    logit_np = logits.data
     for b, gts in enumerate(gts_list):
         classes, gt_boxes = _target_arrays(gts)
-        holder = _Detached(box_np[b], logit_np[b])
-        assignment = hungarian(build_cost_matrix(holder, (classes, gt_boxes), weights).cost)
-        for i, j in assignment.pairs:
-            all_pairs.append((b * k + i, total_gt + j))
-        all_classes.append(classes)
-        all_gt_boxes.append(gt_boxes)
+        cost = build_cost_matrix(boxes.data[b], logits.data[b], classes, gt_boxes, weights)
+        for i, j in hungarian(cost).pairs:
+            targets[b * k + i] = classes[j]
+            ce_weights[b * k + i] = 1.0
+            pred_idx.append(b * k + i)
+            matched_boxes.append(gt_boxes[j])
         total_gt += classes.size
-    return _assigned_loss(flat_boxes, flat_logits,
-                          np.concatenate(all_classes) if total_gt else np.zeros(0, np.int64),
-                          np.concatenate(all_gt_boxes) if total_gt else np.zeros((0, 4)),
-                          all_pairs, weights, no_object_weight,
-                          norm_boxes=max(1, total_gt))
 
+    flat_logits = T.reshape(logits, (bsz * k, logits.shape[-1]))
+    picked = T.take_last(T.log_softmax(flat_logits), targets)
+    ce = T.scale(T.sum_(T.mul(picked, Tensor(-ce_weights))), 1.0 / ce_weights.sum())
+    if not pred_idx:
+        return ce
 
-class _Detached:
-    """Raw-array stand-in for a DetectionSet during cost construction."""
-
-    def __init__(self, boxes, logits):
-        self.boxes = Tensor(boxes)
-        self.logits = Tensor(logits)
-
-
-def dual_branch_loss(modulated_layers, basic_layers, gts, beta: float,
-                     weights=DEFAULT_WEIGHTS) -> Tensor:
-    """Per-layer losses summed over the modulated branch plus beta times the
-    basic branch; each branch and layer is matched independently. The basic
-    branch is skipped entirely at beta = 0."""
-    if beta < 0:
-        raise ContractError(f"beta must be nonnegative, got {beta}")
-
-    def branch_sum(layers):
-        total = None
-        for layer in layers:
-            term = hungarian_loss(layer, gts, weights)
-            total = term if total is None else T.add(total, term)
-        return total
-
-    loss = branch_sum(modulated_layers)
-    if beta > 0 and basic_layers is not None:
-        loss = T.add(loss, T.scale(branch_sum(basic_layers), beta))
-    return loss
+    norm_boxes = max(1, total_gt)
+    pb = T.gather_rows(T.reshape(boxes, (bsz * k, 4)), np.array(pred_idx, dtype=np.int64))
+    tb = Tensor(np.array(matched_boxes))
+    l1 = T.scale(T.sum_(T.abs_(T.sub(pb, tb))), w_l1 / norm_boxes)
+    gi = giou_pairs(pb, tb)
+    giou_term = T.scale(T.sum_(T.sub(Tensor(np.ones(len(pred_idx))), gi)), w_giou / norm_boxes)
+    return T.add(T.add(ce, l1), giou_term)

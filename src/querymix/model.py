@@ -8,8 +8,9 @@ Four query regimes share one trunk:
   two_group   control: m learned queries plus an unrelated auxiliary group
   direct_mlp  control: queries regressed straight from the pooled feature
 
-Training a dynamic model runs the decoder twice (modulated and basic
-branches) on one shared backbone+encoder pass; inference never touches the
+Training (``forward_train``) runs the decoder once per branch on one
+shared backbone+encoder pass: twice for dynamic (modulated and basic) and
+two_group, once for static and direct_mlp. Inference never touches the
 basic branch.
 """
 
@@ -60,6 +61,8 @@ class ModelConfig:
             raise ContractError(f"unknown mode {self.mode!r}, expected one of {MODES}")
         if self.m_modulated < 1 or self.num_classes < 1:
             raise ContractError("m_modulated and num_classes must be positive")
+        if self.transformer.heads < 1:
+            raise ContractError(f"need at least one attention head, got {self.transformer.heads}")
         if self.mode == "dynamic" and self.n_basic != self.ratio * self.m_modulated:
             raise ContractError(
                 f"dynamic mode needs n_basic == ratio * m_modulated, "
@@ -142,21 +145,18 @@ class Detector(Module):
     # entry points
 
     def forward_train(self, image: Tensor):
-        """Two-branch training pass.
+        """Training pass over one shared backbone+encoder.
 
         Returns (main-branch DetectionSets per decoder layer, auxiliary-branch
         DetectionSets per layer or None, coefficients or None). The auxiliary
         branch holds the basic queries in dynamic mode and the unrelated
-        group in two_group mode; direct_mlp has no second branch.
+        group in two_group mode; static and direct_mlp have no second branch.
         """
-        mode = self.config.mode
-        if mode == "static":
-            raise ContractError("static models have no training branch pair; "
-                                "use forward_layers / forward_infer")
         feats, memory = self._trunk(image)
         main, coeffs = self._main_queries(feats)
         y_main = self._decode(main, memory, "decoder_main")
-        if mode == "direct_mlp":
+        mode = self.config.mode
+        if mode in ("static", "direct_mlp"):
             return y_main, None, None
         aux = self.bank.basic if mode == "dynamic" else self.aux_queries
         if memory.ndim == 3:
@@ -164,18 +164,13 @@ class Detector(Module):
         y_aux = self._decode(aux, memory, "decoder_basic")
         return y_main, y_aux, coeffs
 
-    def forward_layers(self, image: Tensor) -> list[DetectionSet]:
-        """Main branch only, every decoder layer (auxiliary supervision for
-        the single-branch modes)."""
-        feats, memory = self._trunk(image)
-        main, _ = self._main_queries(feats)
-        return self._decode(main, memory, "decoder_main")
-
     def forward_infer(self, image: Tensor) -> DetectionSet:
         """Inference: main queries only, final decoder layer only. The basic
         branch is never evaluated."""
         with T.no_grad():
-            return self.forward_layers(image)[-1]
+            feats, memory = self._trunk(image)
+            main, _ = self._main_queries(feats)
+            return self._decode(main, memory, "decoder_main")[-1]
 
     def predict(self, image: Tensor, score_threshold: float) -> list:
         """Final detections for one [ch, s, s] image, no NMS: per query the
@@ -235,13 +230,24 @@ def _config_entries(config: ModelConfig) -> list[tuple[str, np.ndarray]]:
 
 
 def _config_from_entries(entries: dict) -> ModelConfig:
-    def scalar(name):
+    def integers(name) -> np.ndarray:
         if name not in entries:
             raise ContractError(f"checkpoint is missing {name}")
-        return int(entries.pop(name))
+        value = entries.pop(name)
+        if not (np.isfinite(value).all() and (value == np.round(value)).all()):
+            raise ContractError(f"checkpoint {name} must hold integers, got {value}")
+        return value.astype(np.int64)
 
-    mode = MODES[scalar("config.mode")]
-    widths = tuple(int(v) for v in entries.pop("config.backbone_widths"))
+    def scalar(name) -> int:
+        value = integers(name)
+        if value.shape != ():
+            raise ContractError(f"checkpoint {name} must be a scalar, got shape {value.shape}")
+        return int(value)
+
+    mode = scalar("config.mode")
+    if not 0 <= mode < len(MODES):
+        raise ContractError(f"checkpoint config.mode {mode} is not an index into {MODES}")
+    widths = tuple(int(v) for v in integers("config.backbone_widths").ravel())
     transformer = TransformerConfig(
         feature_dim=scalar("config.transformer.feature_dim"),
         heads=scalar("config.transformer.heads"),
@@ -249,7 +255,7 @@ def _config_from_entries(entries: dict) -> ModelConfig:
         decoder_layers=scalar("config.transformer.decoder_layers"),
         ffn_dim=scalar("config.transformer.ffn_dim"))
     return ModelConfig(
-        mode=mode,
+        mode=MODES[mode],
         n_basic=scalar("config.n_basic"),
         m_modulated=scalar("config.m_modulated"),
         ratio=scalar("config.ratio"),
@@ -261,8 +267,8 @@ def _config_from_entries(entries: dict) -> ModelConfig:
         coeff_hidden=scalar("config.coeff_hidden"))
 
 
-_DTYPE_TAGS = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
-_TAG_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+_DTYPE_TAG = "f64"  # the one entry type
+_ENTRY_DTYPE = np.dtype("<f8")
 
 
 def save_checkpoint(model: Detector, path) -> None:
@@ -273,12 +279,11 @@ def save_checkpoint(model: Detector, path) -> None:
     with open(path, "wb") as fh:
         fh.write((CHECKPOINT_MAGIC + "\n").encode("ascii"))
         for name, arr in entries:
-            if arr.dtype not in _DTYPE_TAGS:
+            if arr.dtype != np.float64:
                 raise ContractError(f"unsupported checkpoint dtype {arr.dtype} for {name}")
-            tag = _DTYPE_TAGS[arr.dtype]
             dims = " ".join(str(d) for d in arr.shape)
-            fh.write(f"{name} {tag} {dims}".rstrip().encode("ascii") + b"\n")
-            fh.write(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
+            fh.write(f"{name} {_DTYPE_TAG} {dims}".rstrip().encode("ascii") + b"\n")
+            fh.write(np.ascontiguousarray(arr, dtype=_ENTRY_DTYPE).tobytes())
 
 
 def _read_line(fh, path) -> str:
@@ -302,20 +307,20 @@ def load_checkpoint(path) -> Detector:
                 break
             fh.seek(pos)
             header = _read_line(fh, path).split()
-            if len(header) < 2 or header[1] not in _TAG_DTYPES:
+            if len(header) < 2 or header[1] != _DTYPE_TAG:
                 raise ContractError(f"bad checkpoint entry header {header!r}")
-            name, dtype = header[0], _TAG_DTYPES[header[1]]
+            name = header[0]
             try:
                 shape = tuple(int(d) for d in header[2:])
             except ValueError:
                 raise ContractError(f"bad shape in checkpoint entry {header!r}")
             count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            payload = fh.read(count * dtype.itemsize)
-            if len(payload) != count * dtype.itemsize:
+            payload = fh.read(count * _ENTRY_DTYPE.itemsize)
+            if len(payload) != count * _ENTRY_DTYPE.itemsize:
                 raise ContractError(f"truncated payload for {name} in {path}")
             if name in entries:
                 raise ContractError(f"duplicate checkpoint entry {name}")
-            entries[name] = np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+            entries[name] = np.frombuffer(payload, dtype=_ENTRY_DTYPE).reshape(shape).copy()
 
     config = _config_from_entries(entries)
     model = Detector(config, seed=0)
@@ -328,5 +333,5 @@ def load_checkpoint(path) -> Detector:
         p = params[name]
         if p.shape != arr.shape:
             raise ShapeError(f"checkpoint {name} has shape {arr.shape}, model wants {p.shape}")
-        p.data = arr.astype(p.data.dtype) if arr.dtype != p.data.dtype else arr
+        p.data = arr
     return model

@@ -18,7 +18,6 @@ from .errors import ContractError, ShapeError
 from .nn import MLP, Module, global_average_pool, parameter
 from .tensor import Tensor, make_op
 
-COEFF_HIDDEN = 512  # hidden width of the coefficient MLP
 _ROW_SUM_TOL = 1e-9
 _REDRAW_TOL = 1e-6  # nonconvex rows with |sum| below this are redrawn
 
@@ -147,16 +146,16 @@ class CoeffNet(Module):
     """Pooled image feature -> two-layer MLP -> row-softmaxed [m, r] weights."""
 
     def __init__(self, feature_dim: int, m: int, r: int, rng: np.random.Generator,
-                 hidden: int = COEFF_HIDDEN):
+                 hidden: int):
         self.mlp = MLP([feature_dim, hidden, m * r], rng)
         self.m = m
         self.r = r
         self.feature_dim = feature_dim
 
 
-def coeff_forward(net: CoeffNet, features: Tensor) -> CombinationCoefficients:
-    """Predict combination coefficients from a backbone feature map
-    ([ch, h, w] or [batch, ch, h, w]); differentiable end-to-end."""
+def _pooled_mlp(net, features: Tensor, width: int) -> Tensor:
+    """Global-average-pool a [ch, h, w] or [batch, ch, h, w] feature map, run
+    ``net.mlp`` and reshape to [m, width] (or [batch, m, width])."""
     if features.shape[-3] != net.feature_dim:
         raise ShapeError(
             f"feature channels {features.shape[-3]} != net input dim {net.feature_dim}")
@@ -164,9 +163,15 @@ def coeff_forward(net: CoeffNet, features: Tensor) -> CombinationCoefficients:
     batched = pooled.ndim == 2
     if not batched:
         pooled = T.reshape(pooled, (1, pooled.shape[0]))
-    logits = net.mlp(pooled)
-    shape = (logits.shape[0], net.m, net.r) if batched else (net.m, net.r)
-    return CombinationCoefficients(T.softmax(T.reshape(logits, shape)))
+    out = net.mlp(pooled)
+    shape = (out.shape[0], net.m, width) if batched else (net.m, width)
+    return T.reshape(out, shape)
+
+
+def coeff_forward(net: CoeffNet, features: Tensor) -> CombinationCoefficients:
+    """Predict combination coefficients from a backbone feature map
+    ([ch, h, w] or [batch, ch, h, w]); differentiable end-to-end."""
+    return CombinationCoefficients(T.softmax(_pooled_mlp(net, features, net.r)))
 
 
 def modulate(bank: QueryBank, coeffs: CombinationCoefficients) -> Tensor:
@@ -185,7 +190,7 @@ class DirectQueryNet(Module):
     with no basic bank and no softmax."""
 
     def __init__(self, feature_dim: int, m: int, query_dim: int, rng: np.random.Generator,
-                 hidden: int = COEFF_HIDDEN):
+                 hidden: int):
         self.mlp = MLP([feature_dim, hidden, m * query_dim], rng)
         self.m = m
         self.query_dim = query_dim
@@ -194,13 +199,4 @@ class DirectQueryNet(Module):
 
 def direct_mlp_queries(net: DirectQueryNet, features: Tensor) -> Tensor:
     """[m, f] (or [batch, m, f]) queries straight from the pooled feature."""
-    if features.shape[-3] != net.feature_dim:
-        raise ShapeError(
-            f"feature channels {features.shape[-3]} != net input dim {net.feature_dim}")
-    pooled = global_average_pool(features)
-    batched = pooled.ndim == 2
-    if not batched:
-        pooled = T.reshape(pooled, (1, pooled.shape[0]))
-    out = net.mlp(pooled)
-    shape = (out.shape[0], net.m, net.query_dim) if batched else (net.m, net.query_dim)
-    return T.reshape(out, shape)
+    return _pooled_mlp(net, features, net.query_dim)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParseError
-from .tensor import Tensor
 
 DEFAULT_IOU_THRESHOLDS = tuple(np.round(np.arange(0.50, 0.96, 0.05), 2))
 
@@ -140,7 +139,7 @@ def class_color(cls: int) -> np.ndarray:
     return _PALETTE[cls]
 
 
-def render(scene: Scene, params: BenchmarkParams) -> Tensor:
+def render(scene: Scene, params: BenchmarkParams) -> np.ndarray:
     """Rasterize to [3, S, S] in [0, 1]: tinted background, filled class-
     colored rectangles (later objects overdraw), seeded Gaussian noise."""
     s = params.image_size
@@ -160,7 +159,7 @@ def render(scene: Scene, params: BenchmarkParams) -> Tensor:
         rng = np.random.default_rng([scene.seed, 1])
         img += rng.normal(0.0, params.noise_sigma, img.shape)
     np.clip(img, 0.0, 1.0, out=img)
-    return Tensor(img)
+    return img
 
 
 # ---------------------------------------------------------------------------

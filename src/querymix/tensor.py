@@ -7,14 +7,15 @@ reverse, accumulating gradients additively over fan-out. The graph is
 rebuilt on every forward pass, and a node may be consumed by at most one
 backward pass.
 
-Storage is dense row-major float64 by default (float32 via
-``set_default_dtype``). Broadcasting is limited to the leading-batch case:
-the smaller operand's shape must be a trailing suffix of the larger one's.
+Storage is dense row-major float64. Broadcasting is limited to the
+leading-batch case: the smaller operand's shape must be a trailing suffix of
+the larger one's. Grad mode (``no_grad``) is per thread.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -22,39 +23,26 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 
-_DTYPES = {"f32": np.float32, "f64": np.float64}
-_default_dtype = np.float64
-
 _node_counter = itertools.count()
-_grad_enabled = True
 
 
-def set_default_dtype(name: str) -> None:
-    """Select 'f32' or 'f64' storage for tensors created afterwards."""
-    global _default_dtype
-    if name not in _DTYPES:
-        raise ContractError(f"unknown dtype {name!r}; expected one of {sorted(_DTYPES)}")
-    _default_dtype = _DTYPES[name]
+class _GradMode(threading.local):
+    enabled = True  # every thread starts with recording on
 
 
-def default_dtype() -> np.dtype:
-    return np.dtype(_default_dtype)
+_grad_mode = _GradMode()
 
 
 @contextmanager
 def no_grad():
-    """Disable tape recording inside the block (inference mode)."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable tape recording in the calling thread inside the block
+    (inference mode)."""
+    prev = _grad_mode.enabled
+    _grad_mode.enabled = False
     try:
         yield
     finally:
-        _grad_enabled = prev
-
-
-def is_grad_enabled() -> bool:
-    return _grad_enabled
+        _grad_mode.enabled = prev
 
 
 class TapeNode:
@@ -77,7 +65,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=_default_dtype)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self.node: TapeNode | None = None
@@ -106,52 +94,6 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
 
-    # operator sugar; the module-level functions are the primary API
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _lift(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes) -> "Tensor":
-        return transpose(self, axes if axes else None)
-
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return mean(self, axis=axis, keepdims=keepdims)
-
-
-def _lift(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
 
 def make_op(op: str, data: np.ndarray, parents: Sequence[Tensor],
             backward_fn: Callable[[np.ndarray], Sequence[np.ndarray | None]]) -> Tensor:
@@ -162,7 +104,7 @@ def make_op(op: str, data: np.ndarray, parents: Sequence[Tensor],
     participates in differentiation.
     """
     out = Tensor(data)
-    if _grad_enabled and any(p.requires_grad or p.node is not None for p in parents):
+    if _grad_mode.enabled and any(p.requires_grad or p.node is not None for p in parents):
         out.requires_grad = True
         out.node = TapeNode(op, tuple(parents), backward_fn, out)
     return out

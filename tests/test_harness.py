@@ -5,6 +5,7 @@ coefficient dumps, and the CLI exit-code contract."""
 import numpy as np
 import pytest
 
+from querymix import model as model_module
 from querymix.errors import ContractError, NumericalError, ParseError
 from querymix.harness import loop, studies
 from querymix.harness.cli import entrypoint
@@ -280,7 +281,6 @@ class TestAblate:
         assert studies.apply_axis(base, "beta", 0.5).beta == 0.5
         r8 = studies.apply_axis(base, "ratio", 4)
         assert r8.model.ratio == 4 and r8.model.n_basic == 16
-        assert studies.apply_axis(base, "nonmodulated", "two_group").model.mode == "two_group"
         assert studies.apply_axis(base, "direct_mlp", "direct_mlp").model.mode == "direct_mlp"
         assert studies.apply_axis(base, "epochs", 2).schedule.epochs == 2
         assert studies.apply_axis(base, "tint_off", "false").data.background_tint is False
@@ -448,6 +448,30 @@ class TestCli:
                            "--data", str(tmp_path / "nope.txt")]) == 2
         err = capsys.readouterr().err
         assert err.count("error:") == 2
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("config.mode", 9.0, "config.mode 9"),
+        ("config.mode", float("nan"), "config.mode must hold integers"),
+        ("config.backbone_widths", None, "missing config.backbone_widths"),
+        ("config.transformer.heads", 0.0, "attention head"),
+    ])
+    def test_malformed_checkpoint_config_exit_code(self, tmp_path, capsys, monkeypatch,
+                                                   name, value, message):
+        real_entries = model_module._config_entries
+
+        def corrupted(config):  # replace the entry, or drop it when value is None
+            return [(k, np.asarray(value) if k == name else v)
+                    for k, v in real_entries(config) if k != name or value is not None]
+
+        model, cfg = micro_model()
+        ckpt = tmp_path / "bad.ckpt"
+        monkeypatch.setattr(model_module, "_config_entries", corrupted)
+        save_checkpoint(model, ckpt)
+        monkeypatch.undo()
+        data = tmp_path / "val.txt"
+        write_dataset(generate_dataset(cfg.benchmark_params(), 4, 0), data)
+        assert entrypoint(["eval", "--checkpoint", str(ckpt), "--data", str(data)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_negative_seed_exit_code(self, tmp_path, capsys):
         cfg, cfg_path = self.write_micro(tmp_path)

@@ -11,6 +11,8 @@ import pytest
 import querymix.tensor as T
 from querymix import matching as M
 from querymix.errors import ContractError
+from querymix.harness import loop
+from querymix.model import DetectionSet
 from querymix.tensor import Tensor, finite_difference_check
 
 
@@ -23,8 +25,32 @@ def brute_force_cost(cost):
                for p in permutations(range(g), k))
 
 
-def preds_of(boxes, logits):
-    return SimpleNamespace(boxes=Tensor(boxes), logits=Tensor(logits))
+def image_loss(boxes, logits, gts):
+    """Set loss of one image: batch_hungarian_loss over a batch of one."""
+    boxes, logits = (t if isinstance(t, Tensor) else Tensor(t) for t in (boxes, logits))
+    return M.batch_hungarian_loss(T.reshape(boxes, (1,) + boxes.shape),
+                                  T.reshape(logits, (1,) + logits.shape), [gts])
+
+
+def reference_loss(boxes, logits, classes, gt_boxes, weights=M.DEFAULT_WEIGHTS):
+    """Unbatched numpy re-derivation of one image's set loss, with the
+    assignment found by brute force."""
+    cost = M.build_cost_matrix(boxes, logits, classes, gt_boxes, weights)
+    k, g = cost.shape
+    pred_of_gt = min(permutations(range(k), g),
+                     key=lambda p: sum(cost[p[j], j] for j in range(g)))
+    logp = logits - logits.max(axis=1, keepdims=True)
+    logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
+    targets = np.full(k, logits.shape[1] - 1)
+    ce_weights = np.full(k, M.NO_OBJECT_WEIGHT)
+    box_terms = 0.0
+    for j, i in enumerate(pred_of_gt):
+        targets[i] = classes[j]
+        ce_weights[i] = 1.0
+        box_terms += (weights[1] * np.abs(boxes[i] - gt_boxes[j]).sum()
+                      + weights[2] * (1.0 - M.giou(boxes[i], gt_boxes[j])))
+    ce = -(ce_weights * logp[np.arange(k), targets]).sum() / ce_weights.sum()
+    return ce + box_terms / max(1, g)
 
 
 class TestHungarian:
@@ -136,53 +162,50 @@ class TestGiou:
 
 class TestCostMatrix:
     def test_perfect_prediction_cost(self):
-        box = [0.5, 0.5, 0.2, 0.2]
+        box = np.array([[0.5, 0.5, 0.2, 0.2]])
         logits = np.full((1, 4), -50.0)
         logits[0, 1] = 50.0  # softmax ~ 1 on class 1
-        cm = M.build_cost_matrix(preds_of(np.array([box]), logits),
-                                 ([1], [box]), weights=(2, 5, 2))
-        assert abs(cm.cost[0, 0] - (-2.0)) < 1e-9
+        cost = M.build_cost_matrix(box, logits, np.array([1]), box, weights=(2, 5, 2))
+        assert abs(cost[0, 0] - (-2.0)) < 1e-9
 
     def test_zero_weights_zero_matrix(self):
         rng = np.random.default_rng(8)
         boxes = np.column_stack([rng.uniform(0.3, 0.7, (3, 2)), rng.uniform(0.1, 0.3, (3, 2))])
-        cm = M.build_cost_matrix(preds_of(boxes, rng.standard_normal((3, 5))),
-                                 ([0, 2], boxes[:2]), weights=(0, 0, 0))
-        assert np.array_equal(cm.cost, np.zeros((3, 2)))
+        cost = M.build_cost_matrix(boxes, rng.standard_normal((3, 5)), np.array([0, 2]),
+                                   boxes[:2], weights=(0, 0, 0))
+        assert np.array_equal(cost, np.zeros((3, 2)))
 
     def test_matches_scalar_reimplementation(self):
         rng = np.random.default_rng(9)
         boxes = np.column_stack([rng.uniform(0.3, 0.7, (3, 2)), rng.uniform(0.1, 0.3, (3, 2))])
         logits = rng.standard_normal((3, 5))
         gt_boxes = np.column_stack([rng.uniform(0.3, 0.7, (2, 2)), rng.uniform(0.1, 0.3, (2, 2))])
-        gt_classes = [0, 3]
-        cm = M.build_cost_matrix(preds_of(boxes, logits), (gt_classes, gt_boxes),
-                                 weights=(2, 5, 2))
+        gt_classes = np.array([0, 3])
+        cost = M.build_cost_matrix(boxes, logits, gt_classes, gt_boxes, weights=(2, 5, 2))
         for i in range(3):
             p = np.exp(logits[i]) / np.exp(logits[i]).sum()
             for j in range(2):
                 want = (-2 * p[gt_classes[j]]
                         + 5 * np.abs(boxes[i] - gt_boxes[j]).sum()
                         + 2 * (1 - M.giou(boxes[i], gt_boxes[j])))
-                assert abs(cm.cost[i, j] - want) < 1e-12
+                assert abs(cost[i, j] - want) < 1e-12
 
     def test_empty_gts(self):
-        cm = M.build_cost_matrix(preds_of(np.full((4, 4), 0.5), np.zeros((4, 3))),
-                                 ([], np.zeros((0, 4))))
-        assert cm.cost.shape == (4, 0)
+        cost = M.build_cost_matrix(np.full((4, 4), 0.5), np.zeros((4, 3)),
+                                   np.zeros(0, np.int64), np.zeros((0, 4)))
+        assert cost.shape == (4, 0)
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ContractError):
-            M.build_cost_matrix(preds_of(np.full((1, 4), 0.5), np.zeros((1, 3))),
-                                ([], np.zeros((0, 4))), weights=(-1, 5, 2))
+            M.build_cost_matrix(np.full((1, 4), 0.5), np.zeros((1, 3)),
+                                np.zeros(0, np.int64), np.zeros((0, 4)), weights=(-1, 5, 2))
 
 
 class TestHungarianLoss:
     def test_zero_gts_pure_no_object(self):
         rng = np.random.default_rng(10)
         logits = rng.standard_normal((5, 4))
-        loss = M.hungarian_loss(preds_of(np.full((5, 4), 0.5), logits),
-                                ([], np.zeros((0, 4))))
+        loss = image_loss(np.full((5, 4), 0.5), logits, ([], np.zeros((0, 4))))
         logp = logits - logits.max(axis=1, keepdims=True)
         logp = logp - np.log(np.exp(logp).sum(axis=1, keepdims=True))
         assert abs(loss.item() - (-logp[:, 3].mean())) < 1e-12
@@ -192,7 +215,7 @@ class TestHungarianLoss:
         logits = np.full((2, 4), -40.0)
         logits[0, 0] = 40.0
         logits[1, 2] = 40.0
-        loss = M.hungarian_loss(preds_of(boxes, logits), ([0, 2], boxes))
+        loss = image_loss(boxes, logits, ([0, 2], boxes))
         assert loss.item() < 1e-9  # only residual cross-entropy remains
 
     def test_prediction_permutation_invariance(self):
@@ -201,10 +224,10 @@ class TestHungarianLoss:
         logits = rng.standard_normal((6, 4))
         gts = ([0, 1, 2], np.column_stack([rng.uniform(0.3, 0.7, (3, 2)),
                                            rng.uniform(0.1, 0.3, (3, 2))]))
-        base = M.hungarian_loss(preds_of(boxes, logits), gts).item()
+        base = image_loss(boxes, logits, gts).item()
         for seed in range(5):
             perm = np.random.default_rng(seed).permutation(6)
-            permuted = M.hungarian_loss(preds_of(boxes[perm], logits[perm]), gts).item()
+            permuted = image_loss(boxes[perm], logits[perm], gts).item()
             assert abs(base - permuted) < 1e-10
 
     def test_gt_permutation_invariance(self):
@@ -213,10 +236,9 @@ class TestHungarianLoss:
         logits = rng.standard_normal((5, 4))
         gt_boxes = np.column_stack([rng.uniform(0.3, 0.7, (3, 2)), rng.uniform(0.1, 0.3, (3, 2))])
         gt_classes = np.array([0, 1, 2])
-        base = M.hungarian_loss(preds_of(boxes, logits), (gt_classes, gt_boxes)).item()
+        base = image_loss(boxes, logits, (gt_classes, gt_boxes)).item()
         perm = np.array([2, 0, 1])
-        permuted = M.hungarian_loss(preds_of(boxes, logits),
-                                    (gt_classes[perm], gt_boxes[perm])).item()
+        permuted = image_loss(boxes, logits, (gt_classes[perm], gt_boxes[perm])).item()
         assert abs(base - permuted) < 1e-10
 
     def test_gradients_match_finite_differences(self):
@@ -227,7 +249,7 @@ class TestHungarianLoss:
         gts = ([0, 2], np.array([[0.33, 0.34, 0.22, 0.15], [0.68, 0.62, 0.2, 0.24]]))
 
         def f(bx, lg):
-            return M.hungarian_loss(SimpleNamespace(boxes=bx, logits=lg), gts)
+            return image_loss(bx, lg, gts)
 
         assert finite_difference_check(f, [Tensor(boxes), Tensor(logits)]) < 1e-5
 
@@ -236,8 +258,7 @@ class TestHungarianLoss:
         boxes = Tensor(np.array([[0.3, 0.3, 0.2, 0.2], [0.7, 0.7, 0.2, 0.2]]))
         boxes.requires_grad = True
         logits = Tensor(rng.standard_normal((2, 4)))
-        loss = M.hungarian_loss(SimpleNamespace(boxes=boxes, logits=logits),
-                                ([1], np.array([[0.31, 0.3, 0.2, 0.2]])))
+        loss = image_loss(boxes, logits, ([1], np.array([[0.31, 0.3, 0.2, 0.2]])))
         grads = T.backward(loss, params=[boxes])
         g = grads[id(boxes)]
         assert np.abs(g[0]).max() > 0  # matched to the nearby gt
@@ -251,7 +272,7 @@ class TestBatchLoss:
         logits = rng.standard_normal((4, 5))
         gts = ([0, 3], np.column_stack([rng.uniform(0.3, 0.7, (2, 2)),
                                         rng.uniform(0.1, 0.3, (2, 2))]))
-        single = M.hungarian_loss(preds_of(boxes, logits), gts).item()
+        single = reference_loss(boxes, logits, np.array(gts[0]), gts[1])
         batched = M.batch_hungarian_loss(Tensor(boxes[None]), Tensor(logits[None]), [gts]).item()
         assert abs(single - batched) < 1e-12
 
@@ -260,7 +281,7 @@ class TestBatchLoss:
         boxes = np.column_stack([rng.uniform(0.3, 0.7, (4, 2)), rng.uniform(0.1, 0.3, (4, 2))])
         logits = rng.standard_normal((4, 5))
         gts = ([1], np.array([[0.5, 0.5, 0.2, 0.2]]))
-        single = M.hungarian_loss(preds_of(boxes, logits), gts).item()
+        single = image_loss(boxes, logits, gts).item()
         twice = M.batch_hungarian_loss(Tensor(np.stack([boxes, boxes])),
                                        Tensor(np.stack([logits, logits])),
                                        [gts, gts]).item()
@@ -273,40 +294,42 @@ class TestBatchLoss:
 
 
 class TestDualBranch:
+    """loop.training_loss on a stub model whose forward_train returns fixed
+    per-layer detection sets for a batch of two images."""
+
+    gts = [([0, 1], np.array([[0.4, 0.4, 0.2, 0.2], [0.6, 0.6, 0.2, 0.2]])),
+           ([2], np.array([[0.5, 0.5, 0.3, 0.3]]))]
+
     def make_layers(self, rng, k, layers=2):
         out = []
         for _ in range(layers):
-            boxes = np.column_stack([rng.uniform(0.3, 0.7, (k, 2)),
-                                     rng.uniform(0.1, 0.3, (k, 2))])
-            out.append(preds_of(boxes, rng.standard_normal((k, 4))))
+            boxes = np.column_stack([rng.uniform(0.3, 0.7, (2 * k, 2)),
+                                     rng.uniform(0.1, 0.3, (2 * k, 2))])
+            out.append(DetectionSet(boxes=Tensor(boxes.reshape(2, k, 4)),
+                                    logits=Tensor(rng.standard_normal((2, k, 4)))))
         return out
+
+    def training_loss(self, ym, yb, beta):
+        model = SimpleNamespace(forward_train=lambda images: (ym, yb, None))
+        return loop.training_loss(model, None, self.gts, beta).item()
+
+    def branch_sum(self, layers):
+        return sum(M.batch_hungarian_loss(d.boxes, d.logits, self.gts).item() for d in layers)
 
     def test_beta_zero_is_modulated_only(self):
         rng = np.random.default_rng(17)
         ym = self.make_layers(rng, 4)
         yb = self.make_layers(rng, 8)
-        gts = ([0, 1], np.array([[0.4, 0.4, 0.2, 0.2], [0.6, 0.6, 0.2, 0.2]]))
-        only_m = sum(M.hungarian_loss(l, gts).item() for l in ym)
-        dual = M.dual_branch_loss(ym, yb, gts, beta=0.0).item()
-        assert dual == pytest.approx(only_m, abs=1e-12)
+        assert self.training_loss(ym, yb, 0.0) == pytest.approx(self.branch_sum(ym), abs=1e-12)
 
     def test_beta_one_sums_branches(self):
         rng = np.random.default_rng(18)
         ym = self.make_layers(rng, 4)
         yb = self.make_layers(rng, 8)
-        gts = ([2], np.array([[0.5, 0.5, 0.3, 0.3]]))
-        want = (sum(M.hungarian_loss(l, gts).item() for l in ym)
-                + sum(M.hungarian_loss(l, gts).item() for l in yb))
-        assert M.dual_branch_loss(ym, yb, gts, beta=1.0).item() == pytest.approx(want, abs=1e-10)
+        want = self.branch_sum(ym) + self.branch_sum(yb)
+        assert self.training_loss(ym, yb, 1.0) == pytest.approx(want, abs=1e-10)
 
     def test_identical_branches_double_exactly(self):
         rng = np.random.default_rng(19)
         ym = self.make_layers(rng, 4)
-        gts = ([1], np.array([[0.5, 0.5, 0.2, 0.2]]))
-        single = M.dual_branch_loss(ym, None, gts, beta=0.0).item()
-        doubled = M.dual_branch_loss(ym, ym, gts, beta=1.0).item()
-        assert doubled == 2.0 * single
-
-    def test_negative_beta_rejected(self):
-        with pytest.raises(ContractError):
-            M.dual_branch_loss([], [], ([], np.zeros((0, 4))), beta=-0.5)
+        assert self.training_loss(ym, ym, 1.0) == 2.0 * self.training_loss(ym, None, 0.0)

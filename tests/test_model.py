@@ -73,10 +73,12 @@ class TestForwardTrain:
         for det in y_m + y_b:
             assert det.boxes.data.min() > 0.0 and det.boxes.data.max() < 1.0
 
-    def test_static_mode_rejected(self):
+    def test_static_single_branch(self):
         model = Detector(tiny_config("static"), seed=1)
-        with pytest.raises(ContractError):
-            model.forward_train(tiny_image())
+        y_m, y_b, coeffs = model.forward_train(tiny_image())
+        assert len(y_m) == 2 and y_m[0].boxes.shape == (4, 4)
+        assert y_b is None and coeffs is None
+        assert model.counters == {"backbone": 1, "decoder_main": 1, "decoder_basic": 0}
 
     def test_trunk_evaluated_once(self):
         model = Detector(tiny_config(), seed=1)
@@ -178,7 +180,7 @@ class TestInference:
         for mode in ("static", "dynamic", "two_group", "direct_mlp"):
             model = Detector(tiny_config(mode), seed=6)
             img = tiny_image(3)
-            layers = model.forward_layers(img)
+            layers = model.forward_train(img)[0]
             infer = model.forward_infer(img)
             assert infer.boxes.data.tobytes() == layers[-1].boxes.data.tobytes()
             assert infer.logits.data.tobytes() == layers[-1].logits.data.tobytes()

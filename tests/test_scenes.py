@@ -121,7 +121,7 @@ class TestRender:
     def test_noise_free_box_pixels_exact(self):
         params = S.BenchmarkParams(noise_sigma=0.0)
         sc = S.Scene(0, [(2, (0.5, 0.5, 0.25, 0.25))], seed=1)
-        img = S.render(sc, params).data
+        img = S.render(sc, params)
         x1 = int(np.floor(0.375 * 64))
         x2 = int(np.ceil(0.625 * 64))
         block = img[:, x1:x2, x1:x2]
@@ -133,7 +133,7 @@ class TestRender:
         corners = []
         for t in range(params.num_types):
             sc = S.Scene(t, [(0, (0.5, 0.5, 0.1, 0.1))], seed=1)
-            corners.append(tuple(S.render(sc, params).data[:, 0, 0]))
+            corners.append(tuple(S.render(sc, params)[:, 0, 0]))
         assert len(set(corners)) == params.num_types
 
     def test_tint_flag_removes_type_signal(self):
@@ -141,26 +141,26 @@ class TestRender:
         corners = set()
         for t in range(params.num_types):
             sc = S.Scene(t, [(0, (0.5, 0.5, 0.1, 0.1))], seed=1)
-            corners.add(tuple(S.render(sc, params).data[:, 0, 0]))
+            corners.add(tuple(S.render(sc, params)[:, 0, 0]))
         assert len(corners) == 1
 
     def test_values_clamped(self):
         params = S.BenchmarkParams(noise_sigma=0.3)
         sc = S.generate_scene(0, S.BenchmarkParams(), 7)
-        img = S.render(sc, params).data
+        img = S.render(sc, params)
         assert img.min() >= 0.0 and img.max() <= 1.0
 
     def test_noise_deterministic_per_scene(self):
         params = S.BenchmarkParams()
         sc = S.generate_scene(1, params, 42)
-        a = S.render(sc, params).data
-        b = S.render(sc, params).data
+        a = S.render(sc, params)
+        b = S.render(sc, params)
         assert a.tobytes() == b.tobytes()
 
     def test_later_objects_overdraw(self):
         params = S.BenchmarkParams(noise_sigma=0.0)
         sc = S.Scene(0, [(0, (0.5, 0.5, 0.4, 0.4)), (1, (0.5, 0.5, 0.2, 0.2))], seed=1)
-        img = S.render(sc, params).data
+        img = S.render(sc, params)
         assert np.array_equal(img[:, 32, 32], S.class_color(1))
 
 

@@ -1,6 +1,8 @@
 """Autodiff engine tests: analytic gradients against central finite
 differences, plus tape-contract behavior (fan-out, reuse, reachability)."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -68,13 +70,13 @@ class TestForwardValues:
         assert np.allclose(np.exp(ls).sum(axis=-1), 1.0, atol=1e-12)
 
     def test_scalar_broadcast(self):
-        out = Tensor([[1.0, 2.0], [3.0, 4.0]]) + Tensor(10.0)
+        out = T.add(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor(10.0))
         assert np.array_equal(out.data, [[11.0, 12.0], [13.0, 14.0]])
 
     def test_suffix_broadcast_add(self):
         a = Tensor(np.ones((2, 3, 4)))
         b = Tensor(np.arange(4.0))
-        assert np.allclose((a + b).data, 1.0 + np.arange(4.0))
+        assert np.allclose(T.add(a, b).data, 1.0 + np.arange(4.0))
 
     def test_bad_broadcast_rejected(self):
         with pytest.raises(ShapeError):
@@ -359,6 +361,39 @@ class TestTapeContract:
             y = T.mul(x, x)
         assert y.node is None and not y.requires_grad
 
+    def test_no_grad_is_per_thread(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        inside, release = threading.Event(), threading.Event()
+        out = {}
+
+        def worker():
+            with no_grad():
+                inside.set()
+                release.wait(timeout=10)
+                out["worker"] = T.mul(x, x)
+            out["fresh"] = T.mul(x, x)
+
+        thread = threading.Thread(target=worker)
+        thread.start()
+        try:
+            assert inside.wait(timeout=10)
+            out["main"] = T.mul(x, x)  # recorded while the worker sits in no_grad
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert out["main"].node is not None
+        assert out["worker"].node is None
+        assert out["fresh"].node is not None  # leaving no_grad restores recording
+
+        with no_grad():  # a thread started under the caller's no_grad still records
+            spawned = {}
+            thread = threading.Thread(target=lambda: spawned.update(y=T.mul(x, x)))
+            thread.start()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert spawned["y"].node is not None
+
     def test_detach_cuts_graph(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
         h = T.mul(x, x)
@@ -411,14 +446,3 @@ class TestDropout:
 class TestDtype:
     def test_default_is_f64(self):
         assert Tensor([1.0]).data.dtype == np.float64
-
-    def test_switch_to_f32(self):
-        T.set_default_dtype("f32")
-        try:
-            assert Tensor([1.0]).data.dtype == np.float32
-        finally:
-            T.set_default_dtype("f64")
-
-    def test_unknown_dtype_rejected(self):
-        with pytest.raises(ContractError):
-            T.set_default_dtype("f16")
